@@ -20,9 +20,19 @@ compiler):
 The acceptance bar — warm reparse >= 10x faster than cold, both
 backends, both corpora — is the floor; the measured ratios on the seeded
 corpora are orders of magnitude above it (the warm parse re-derives only
-the damaged spine).  Correctness is not re-proven here (the differential
-edit oracle in ``repro.difftest`` owns that); the runs still assert the
-warm session never needed the failure-fidelity cold rerun.
+the damaged spine).
+
+**Warm rejects** get their own rows: a seeded typo the parser rejects
+(:func:`repro.workloads.pyedits.typo_edits`) followed by its undo, on Jay
+and on ``abc.py``.  Warm = the reject's ``parse`` plus the undo's
+``parse`` on the live session, which re-derives only the failure frontier
+and keeps the columns right of it for the undo; cold = the same two
+parses on a fresh ``set_text`` each.  The asserted floor is 5x.
+
+Correctness is not re-proven here (the differential edit oracle in
+``repro.difftest`` owns that); the runs still assert that no warm parse
+was turned from a reject into an accept by its frontier rerun
+(``last_parse_recovered``).
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ import random
 import time
 
 import repro
-from repro.workloads.pyedits import corpus_texts, rename_edits
+from repro.errors import ParseError
+from repro.workloads.pyedits import corpus_texts, rename_edits, typo_edits
 
 from bench_util import print_table
 
@@ -42,6 +53,12 @@ BACKENDS = ("vm", "closures")
 
 #: Edits per measurement (each timed warm and cold; totals are compared).
 EDITS = 8
+
+#: Acceptance floor for a warm reject plus its undo against a cold session.
+MIN_REJECT_SPEEDUP = 5.0
+
+#: Typo+undo rounds per reject measurement.
+TYPOS = 6
 
 
 def _measure(language, backend: str, text: str, edits) -> dict:
@@ -69,6 +86,46 @@ def _measure(language, backend: str, text: str, edits) -> dict:
     return {
         "backend": backend,
         "edits": count,
+        "chars": len(text),
+        "warm_s": warm_s,
+        "cold_s": cold_s,
+        "speedup": cold_s / warm_s,
+    }
+
+
+def _timed_parse(session, accept: bool) -> float:
+    start = time.perf_counter()
+    try:
+        session.parse()
+    except ParseError:
+        assert not accept, "undo rejected"
+    else:
+        assert accept, "typo accepted"
+    return time.perf_counter() - start
+
+
+def _measure_rejects(language, backend: str, text: str) -> dict:
+    """Total warm vs cold seconds over seeded typo+undo rounds."""
+    pairs = list(typo_edits(text, random.Random(5), TYPOS, language.recognize))
+    assert pairs, "no typo was rejected"
+    warm = language.incremental(backend=backend)
+    warm.set_text(text)
+    warm.parse()
+    cold = language.incremental(backend=backend)
+    warm_s = cold_s = 0.0
+    for typo, undo in pairs:
+        warm.apply_edit(typo.offset, typo.removed, typo.inserted)
+        warm_s += _timed_parse(warm, accept=False)
+        assert not warm.last_parse_recovered
+        warm.apply_edit(undo.offset, undo.removed, undo.inserted)
+        warm_s += _timed_parse(warm, accept=True)
+        cold.set_text(typo.apply(text))
+        cold_s += _timed_parse(cold, accept=False)
+        cold.set_text(text)
+        cold_s += _timed_parse(cold, accept=True)
+    return {
+        "backend": backend,
+        "edits": len(pairs),
         "chars": len(text),
         "warm_s": warm_s,
         "cold_s": cold_s,
@@ -129,3 +186,34 @@ def test_e12_python_corpus_incremental_reparse(benchmark):
             f"{row['backend']}: warm reparse only {row['speedup']:.1f}x over cold "
             f"(floor {MIN_SPEEDUP}x)"
         )
+
+
+def _assert_reject_floor(rows: list[dict]) -> None:
+    for row in rows:
+        assert row["speedup"] >= MIN_REJECT_SPEEDUP, (
+            f"{row['backend']}: warm typo+undo only {row['speedup']:.1f}x over cold "
+            f"(floor {MIN_REJECT_SPEEDUP}x)"
+        )
+
+
+def test_e12_jay_warm_reject(benchmark, jay_all):
+    from repro.workloads import generate_jay_program
+
+    text = generate_jay_program(size=14, seed=11)
+    rows = [_measure_rejects(jay_all, backend, text) for backend in BACKENDS]
+    _report(f"E12 — Jay ({len(text)} chars), typo + undo, warm vs cold", rows)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    _assert_reject_floor(rows)
+
+
+def test_e12_python_corpus_warm_reject(benchmark):
+    language = repro.compile_grammar("python.Python")
+    [(name, text)] = corpus_texts(limit=1, max_chars=40_000)
+    rows = [_measure_rejects(language, backend, text) for backend in BACKENDS]
+    _report(
+        f"E12 — real Python ({name}, {len(text)} layouted chars), "
+        "typo + undo, warm vs cold",
+        rows,
+    )
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    _assert_reject_floor(rows)

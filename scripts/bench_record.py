@@ -5,8 +5,9 @@ runs the E5 throughput measurement (generated parser and parsing machine,
 all optimizations, per-grammar seeded corpora), the E3 cumulative
 optimization ladder on the Jay corpus, the E11 real-Python corpus
 throughput (every backend over ``examples/python/``), and the E12
-incremental-reparse ratio (warm edit reparse vs cold parse, both
-incremental backends, Jay and real-Python buffers), and *appends* one
+incremental-reparse ratio (warm edit reparse vs cold parse, and warm
+typo+undo vs cold, both incremental backends, Jay and real-Python
+buffers), and *appends* one
 record to ``BENCH_5.json``.  ``--backends`` restricts which backends the
 E5/E11 sections measure (e.g. ``--backends vm`` for a machine-only
 record).  Each record
@@ -183,12 +184,28 @@ def measure_e11(repeat: int, backends: tuple[str, ...] = E11_BACKENDS) -> dict[s
 E12_BACKENDS = ("vm", "closures")
 
 
-def measure_e12(edits: int = 8) -> dict[str, dict]:
+def _timed_parse(session, accept: bool = True) -> float:
+    """Seconds for ``session.parse()``, which must accept (or reject)."""
+    start = time.perf_counter()
+    try:
+        session.parse()
+    except repro.ParseError:
+        if accept:
+            raise
+    else:
+        if not accept:
+            raise RuntimeError("a typo was accepted")
+    return time.perf_counter() - start
+
+
+def measure_e12(edits: int = 8, typos: int = 6) -> dict[str, dict]:
     """Warm-vs-cold reparse ratio per incremental backend (see benchmark
     E12): a seeded identifier-rename script over a Jay program and a
     layouted real-Python stdlib source; ``speedup`` is total cold seconds
-    over total warm seconds for the whole script."""
-    from repro.workloads.pyedits import corpus_texts, rename_edits
+    over total warm seconds for the whole script.  ``reject`` rows time
+    seeded typo+undo rounds the same way: the typo's (rejected) parse plus
+    the undo's parse, warm on the live session vs cold on fresh buffers."""
+    from repro.workloads.pyedits import apply_script, corpus_texts, rename_edits, typo_edits
 
     buffers = {
         "jay.Jay": (
@@ -203,7 +220,11 @@ def measure_e12(edits: int = 8) -> dict[str, dict]:
 
     results: dict[str, dict] = {}
     for key, (language, text) in buffers.items():
-        entry: dict = {"chars": len(text), "edits": edits, "backends": {}}
+        renames = list(rename_edits(text, random.Random(5), edits))
+        # The typo rounds follow the renames, on the renamed buffer.
+        renamed = apply_script(text, renames)
+        pairs = list(typo_edits(renamed, random.Random(5), typos, language.recognize))
+        entry: dict = {"chars": len(text), "edits": len(renames), "typos": len(pairs), "backends": {}}
         for backend in E12_BACKENDS:
             warm = language.incremental(backend=backend)
             warm.set_text(text)
@@ -211,20 +232,29 @@ def measure_e12(edits: int = 8) -> dict[str, dict]:
             cold = language.incremental(backend=backend)
             current = text
             warm_s = cold_s = 0.0
-            for edit in rename_edits(text, random.Random(5), edits):
+            for edit in renames:
                 warm.apply_edit(edit.offset, edit.removed, edit.inserted)
                 current = edit.apply(current)
-                start = time.perf_counter()
-                warm.parse()
-                warm_s += time.perf_counter() - start
+                warm_s += _timed_parse(warm)
                 cold.set_text(current)
-                start = time.perf_counter()
-                cold.parse()
-                cold_s += time.perf_counter() - start
+                cold_s += _timed_parse(cold)
+            reject_warm = reject_cold = 0.0
+            for typo, undo in pairs:
+                for edit, accept in ((typo, False), (undo, True)):
+                    warm.apply_edit(edit.offset, edit.removed, edit.inserted)
+                    reject_warm += _timed_parse(warm, accept)
+                for buffer, accept in ((typo.apply(renamed), False), (renamed, True)):
+                    cold.set_text(buffer)
+                    reject_cold += _timed_parse(cold, accept)
             entry["backends"][backend] = {
                 "warm_seconds": round(warm_s, 6),
                 "cold_seconds": round(cold_s, 6),
                 "speedup": round(cold_s / warm_s, 2),
+                "reject": {
+                    "warm_seconds": round(reject_warm, 6),
+                    "cold_seconds": round(reject_cold, 6),
+                    "speedup": round(reject_cold / reject_warm, 2) if pairs else None,
+                },
             }
         results[key] = entry
     return results
@@ -312,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         for backend, sub in row["backends"].items():
             print(
                 f"  incremental/{key}/{backend}: {sub['speedup']}x warm-vs-cold "
-                f"({row['edits']} edits over {row['chars']} chars)"
+                f"({row['edits']} edits over {row['chars']} chars); typo+undo "
+                f"{sub['reject']['speedup']}x ({row['typos']} typos)"
             )
     return 0
 

@@ -402,9 +402,12 @@ class EditOracle:
     preparation: unfused regexes and memoize-everything give it its own
     expected-set vocabulary, so it is only error-comparable to itself).
     Across the two incremental backends only verdict, AST, and offset are
-    compared.  A warm reject that the failure-fidelity cold rerun turns
+    compared.  A warm reject that the session's frontier-local rerun turns
     into an accept (``last_parse_recovered``) is reported as a disagreement
     in its own right: it means a memo entry survived an edit it depended on.
+    That rerun re-derives only what examined text at or beyond the warm
+    pass's farthest failure, so it is the cold parse at every step here
+    that catches stale entries wholly left of it.
     """
 
     def __init__(
@@ -492,7 +495,7 @@ class EditOracle:
                         Disagreement(
                             current, f"cold-{name}", f"warm-{name}",
                             outcome, outcome,
-                            f"step {step}: warm reject recovered by cold rerun "
+                            f"step {step}: warm reject recovered by its rerun "
                             "(a memo entry survived an edit it depended on)",
                         )
                     )

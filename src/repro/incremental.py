@@ -29,12 +29,21 @@ original expressions in incremental programs so the watermark stays tight.
 See ``docs/incremental.md`` for the algorithm and invariant.
 
 Failure fidelity: memoized results do not replay the expected-set records
-their original computation made, so when a *warm* reparse rejects, the
-session clears the memo table and re-runs cold — the reported error is
-always bit-identical to a from-scratch parse.  The cold re-run also acts as
-a tripwire: if it *accepts* where the warm pass rejected, an invalidation
-bug exists, and :attr:`~IncrementalSession.last_parse_recovered` flags it
-(the differential edit oracle asserts it never fires).
+their original computation made, so a *warm* reject may under-report its
+farthest failure.  A recorded failure at ``q`` raises the frame's examined
+watermark to at least ``q + 1``, so an entry whose examined end is ``<= F``
+hides only failures below ``F``.  When a warm parse rejects at ``F``, the
+session therefore drops the spine of entries reaching past ``F``, sets
+aside every column at or beyond it, reruns warm, and puts the set-aside
+columns back: the reported error is bit-identical to a from-scratch parse,
+and the edit that follows (typically the undo) still finds the suffix warm.
+A pass that raises :class:`~repro.errors.ParseDepthError` reruns cold
+instead.  The rerun also acts as a tripwire: if it *accepts* where the warm
+pass rejected, an invalidation bug exists, and
+:attr:`~IncrementalSession.last_parse_recovered` flags it.  It covers stale
+entries that examined text at or beyond ``F``, not those wholly left of
+it; the differential edit oracle, which parses cold at every step, keeps
+full coverage.
 
 :class:`StreamFeeder` is the streaming half: it frames a chunked character
 stream into newline-delimited documents and (optionally) parses each one as
@@ -47,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ParseError
+from repro.errors import ParseDepthError, ParseError
 from repro.locations import LineIndex, Location
 from repro.runtime.node import GNode
 
@@ -149,10 +158,13 @@ class IncrementalSession:
 
     @property
     def last_parse_recovered(self) -> bool:
-        """Did the last :meth:`parse` succeed only after the cold-rerun
-        fallback?  Always False in a correct build — a warm reject that a
-        cold parse accepts means a memo entry survived an edit it depended
-        on.  The differential edit oracle asserts this never fires."""
+        """Did the last :meth:`parse` succeed only in the rerun after a
+        warm reject?  Always False in a correct build — a warm reject that
+        the rerun accepts means a memo entry survived an edit it depended
+        on.  The frontier-local rerun re-derives only entries that examined
+        text at or beyond the warm pass's farthest failure, so stale entries
+        wholly left of it go unnoticed here; the differential edit oracle
+        (a cold parse at every step) covers those."""
         return self._recovered
 
     def memo_entry_count(self) -> int:
@@ -227,27 +239,58 @@ class IncrementalSession:
         """Parse the current buffer, serving surviving memo entries.
 
         Raises :class:`~repro.errors.ParseError` on failure with exactly the
-        error a cold parse reports (warm failures re-run cold — see the
-        module docstring).
+        error a cold parse reports (a warm reject re-derives its failure
+        frontier — see the module docstring).
         """
         self._recovered = False
         try:
             value = self._run()
-        except ParseError:
-            # A memo hit swallows the expected-set records its original
-            # computation made, so a warm reject's diagnosis may be
-            # incomplete.  Re-derive it cold; same verdict, exact error.
-            self._memo.reset()
-            self._rebind()
+        except ParseDepthError:
+            value = self._rerun_cold()
+        except ParseError as error:
+            value = self._rerun_from(error.offset)
+        self._count_parse(True)
+        return value
+
+    def _rerun_from(self, frontier: int) -> Any:
+        """Re-derive a warm reject whose farthest failure is ``frontier``.
+
+        A recorded failure at ``q`` raises its frame's examined watermark to
+        at least ``q + 1``, so an entry whose examined end is ``<= frontier``
+        hides only failures below it.  Dropping the spine that reaches past
+        the frontier and setting aside every column at or beyond it makes
+        the rerun record every failure a cold parse records from the
+        frontier on; the set-aside columns are valid for the text, so they
+        go back afterwards and the next edit (typically the undo) stays
+        warm.
+        """
+        memo = self._memo
+        memo.drop_range(frontier, frontier)
+        saved = memo.detach_from(frontier)
+        self._rebind()
+        try:
             try:
                 value = self._run()
-            except ParseError:
-                self._count_parse(False)
-                raise
-            self._recovered = True
-            self._count_parse(True)
-            return value
-        self._count_parse(True)
+            finally:
+                memo.reattach(saved)
+        except ParseDepthError:
+            return self._rerun_cold()
+        except ParseError:
+            self._count_parse(False)
+            raise
+        self._recovered = True
+        return value
+
+    def _rerun_cold(self) -> Any:
+        """The exact path for depth errors: clear the memo, parse cold."""
+        self._memo.reset()
+        self._rebind()
+        try:
+            value = self._run()
+        except ParseError:
+            self._count_parse(False)
+            raise
+        self._recovered = True
         return value
 
     def _count_parse(self, accepted: bool) -> None:

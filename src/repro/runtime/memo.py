@@ -36,6 +36,7 @@ C-level list splices (``shift_from``) plus a damage-local invalidation scan
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Any
 
 from repro.runtime.base import sizeof_deep
@@ -400,6 +401,66 @@ class IncrementalMemoTable:
                     if entry is not None and entry[0][0] >= 0:
                         on_value(entry[0][1])
         return shifted
+
+    def detach_from(self, pos: int) -> tuple:
+        """Set aside every column at a position ``>= pos``, leaving empty
+        slots of the same geometry; returns the saved state for
+        :meth:`reattach`.  The moves are C-level slice copies, so setting
+        aside the suffix of a large table costs no per-entry work."""
+        cols = self._cols
+        n = len(cols) - pos
+        saved_cols = cols[pos:]
+        saved_relb = self._relb[pos:]
+        saved_cnt = self._cnt[pos:]
+        cols[pos:] = [None] * n
+        self._relb[pos:] = bytes(n)
+        self._cnt[pos:] = array("H", bytes(2 * n))
+        saved_long = {q for q in self._long if q >= pos}
+        self._long -= saved_long
+        moved = sum(saved_cnt)
+        self._entries -= moved
+        return (pos, saved_cols, saved_relb, saved_cnt, saved_long, moved)
+
+    def reattach(self, saved: tuple) -> None:
+        """Put columns set aside by :meth:`detach_from` back, keeping any
+        entry stored since then.  The table must not have been resized or
+        shifted in between.  Only the columns that gained entries while
+        detached are merged slot by slot; the rest move back as one
+        C-level slice."""
+        pos, saved_cols, saved_relb, saved_cnt, saved_long, moved = saved
+        cols = self._cols
+        relb = self._relb
+        cnt = self._cnt
+        fresh = cols[pos:]
+        fresh_relb = relb[pos:]
+        fresh_cnt = cnt[pos:]
+        cols[pos:] = saved_cols
+        relb[pos:] = saved_relb
+        cnt[pos:] = saved_cnt
+        self._long |= saved_long
+        self._entries += moved
+        for i in compress(range(len(fresh)), fresh):
+            q = pos + i
+            col = cols[q]
+            if col is None:
+                cols[q] = fresh[i]
+                cnt[q] = fresh_cnt[i]
+                relb[q] = fresh_relb[i]
+            else:
+                added = 0
+                for rule, entry in enumerate(fresh[i]):
+                    if entry is not None and col[rule] is None:
+                        col[rule] = entry
+                        added += 1
+                        if entry[1] > relb[q]:
+                            relb[q] = min(entry[1], _SPAN_CAP)
+                cnt[q] += added
+                # Stores at slots a set-aside entry fills were counted twice.
+                self._entries -= fresh_cnt[i] - added
+            if relb[q] == _SPAN_CAP:
+                self._long.add(q)
+            else:
+                self._long.discard(q)
 
     def entry_count(self) -> int:
         return self._entries

@@ -15,6 +15,9 @@ them deterministically from a seed, so benchmark E12 and the differential
   own token vocabulary.  This is the adversarial diet the differential
   oracle feeds on: edits that straddle token boundaries are exactly where
   a stale memo entry would survive by accident.
+- :func:`typo_edits` — ``(typo, undo)`` pairs: random edits the parser
+  rejects, each followed by the edit that restores the buffer (the
+  warm-reject half of E12).
 - :func:`corpus_texts` — layout-preprocessed real-Python stdlib sources
   (:mod:`repro.workloads.pycorpus`), the at-scale substrate for both.
 
@@ -28,7 +31,7 @@ import keyword
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.workloads.pycorpus import ALLOWLIST, CORPUS_DIR, load_corpus
 from repro.workloads.pylayout import LayoutError, python_layout
@@ -157,6 +160,29 @@ def edit_script(text: str, rng, count: int) -> list[Edit]:
         edits.append(edit)
         current = edit.apply(current)
     return edits
+
+
+#: Random edits a typo round draws before giving up on a reject.
+TYPO_DRAWS = 12
+
+
+def typo_edits(
+    text: str, rng, count: int, accepts: Callable[[str], bool]
+) -> Iterator[tuple[Edit, Edit]]:
+    """Up to ``count`` ``(typo, undo)`` pairs over ``text``.
+
+    A typo is the first of up to :data:`TYPO_DRAWS` :func:`random_edit`
+    candidates whose result ``accepts`` rejects; ``undo`` restores
+    ``text``, so every pair applies to the same buffer.  Rounds whose draws
+    are all accepted yield nothing.
+    """
+    for _ in range(count):
+        for _ in range(TYPO_DRAWS):
+            edit = random_edit(text, rng)
+            if not accepts(edit.apply(text)):
+                removed = text[edit.offset : edit.offset + edit.removed]
+                yield edit, Edit(edit.offset, len(edit.inserted), removed)
+                break
 
 
 def apply_script(text: str, edits: list[Edit]) -> str:

@@ -21,13 +21,21 @@ import pytest
 import repro
 from repro.difftest import EditOracle, fuzz_edits, shrink_edit_script
 from repro.difftest.oracle import Outcome
-from repro.errors import ParseError
+from repro.errors import ParseDepthError, ParseError
 from repro.incremental import BACKENDS, StreamFeeder
 from repro.profile import ParseProfile, ProfileReport, build_report, format_report
 from repro.profile.report import REPORT_FORMAT
 from repro.runtime.memo import _SPAN_CAP, IncrementalMemoTable
 from repro.runtime.node import GNode
-from repro.workloads.pyedits import Edit, apply_script, edit_script, rename_edits
+from repro.workloads.pyedits import (
+    TYPO_DRAWS,
+    Edit,
+    apply_script,
+    corpus_texts,
+    edit_script,
+    random_edit,
+    rename_edits,
+)
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +217,7 @@ class TestIncrementalSession:
         assert set(warm_err.value.expected) == set(cold_err.value.expected)
         assert warm_err.value.line == cold_err.value.line
         assert warm_err.value.column == cold_err.value.column
-        # Failure fidelity came from the documented cold rerun, which must
+        # Failure fidelity came from the frontier-local rerun, which must
         # not have *changed* the verdict (that would be an invalidation bug).
         assert not warm.last_parse_recovered
 
@@ -302,6 +310,140 @@ class TestIncrementalSession:
             session.parse()
             assert session.memo_entry_count() > 0
         assert session.memo_entry_count() == 0
+
+
+def error_key(error: ParseError) -> tuple:
+    return (error.offset, error.line, error.column, error.expected)
+
+
+def typo_undo_script(language, backend: str, text: str, seed: int, typos: int) -> int:
+    """Seeded typos on a live session, each undone: token edits are drawn
+    until one is rejected (accepted ones stay).  Every warm reject must
+    equal a cold session's error, every undo must parse, and the undo must
+    find most of the pre-typo memo entries still in place: the columns
+    right of the failure frontier survive the reject.  Returns the number
+    of rejects seen."""
+    warm = language.incremental(backend=backend)
+    warm.set_text(text)
+    warm.parse()
+    cold = language.incremental(backend=backend)
+    rng = random.Random(seed)
+    rejects = 0
+    for _ in range(typos):
+        for _ in range(TYPO_DRAWS):
+            before = warm.memo_entry_count()
+            edit = random_edit(warm.text, rng)
+            removed = warm.text[edit.offset : edit.offset + edit.removed]
+            warm.apply_edit(edit.offset, edit.removed, edit.inserted)
+            try:
+                warm.parse()
+            except ParseError as error:
+                warm_error = error
+            else:
+                assert not warm.last_parse_recovered
+                continue
+            assert not warm.last_parse_recovered
+            cold.set_text(warm.text)
+            with pytest.raises(ParseError) as cold_error:
+                cold.parse()
+            assert error_key(warm_error) == error_key(cold_error.value), warm.text
+            undo = warm.apply_edit(edit.offset, len(edit.inserted), removed)
+            assert undo.retained >= 0.8 * before, (undo, before)
+            warm.parse()
+            assert not warm.last_parse_recovered
+            rejects += 1
+            break
+    return rejects
+
+
+class TestWarmRejectFidelity:
+    """A warm reject re-derives only its failure frontier, yet reports
+    exactly a cold parse's error and keeps the suffix for the undo."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_jay_typos_match_cold(self, jay, backend):
+        from repro.workloads import generate_jay_program
+
+        text = generate_jay_program(size=14, seed=11)
+        assert typo_undo_script(jay, backend, text, seed=4, typos=8) >= 6
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_python_corpus_typos_match_cold(self, backend):
+        language = repro.compile_grammar("python.Python")
+        texts = corpus_texts(limit=3, max_chars=9_000)
+        assert len(texts) == 3
+        rejects = sum(
+            typo_undo_script(language, backend, text, seed=index, typos=3)
+            for index, (_, text) in enumerate(texts)
+        )
+        assert rejects >= 6
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rerun_drops_spine_reaching_past_frontier(self, calc, backend):
+        # The warm pass stores entries left of its frontier (offset 12)
+        # whose examined spans reach past it.  Served as hits, they would
+        # hide the very failures the rerun must record there.
+        text = "\r\r\r-\t\t\n48 \n\t/  -   - 772 "
+        warm = calc.incremental(backend=backend)
+        warm.set_text(text)
+        warm.parse()
+        warm.apply_edit(12, 2, "7")
+        with pytest.raises(ParseError) as warm_error:
+            warm.parse()
+        cold = calc.incremental(backend=backend)
+        cold.set_text(warm.text)
+        with pytest.raises(ParseError) as cold_error:
+            cold.parse()
+        assert error_key(warm_error.value) == error_key(cold_error.value)
+        assert len(cold_error.value.expected) > 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_depth_error_matches_cold_and_session_recovers(self, calc, backend):
+        budget = 400
+        warm = calc.incremental(backend=backend, depth_budget=budget)
+        warm.set_text("1+2")
+        warm.parse()
+        deep = "(" * 200 + "1" + ")" * 200
+        warm.apply_edit(2, 1, deep)
+        with pytest.raises(ParseDepthError) as warm_error:
+            warm.parse()
+        cold = calc.incremental(backend=backend, depth_budget=budget)
+        cold.set_text(warm.text)
+        with pytest.raises(ParseDepthError) as cold_error:
+            cold.parse()
+        assert error_key(warm_error.value) == error_key(cold_error.value)
+        assert warm_error.value.budget == cold_error.value.budget
+        warm.apply_edit(2, len(deep), "3")
+        assert repr(warm.parse()) == repr(calc.parse("1+3"))
+        assert not warm.last_parse_recovered
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_depth_error_in_frontier_rerun_falls_back_cold(self, calc, backend, monkeypatch):
+        session = calc.incremental(backend=backend)
+        session.set_text("1+2*3+4")
+        session.parse()
+        session.apply_edit(4, 1, "+")  # "1+2*++4"
+        memo = session._memo
+        run = session._run
+        calls = []
+
+        def run_with_deep_rerun():
+            calls.append(memo.entry_count())
+            if len(calls) == 2:  # the frontier-local rerun
+                raise ParseDepthError("too deep", 0, 1, 1, budget=1)
+            return run()
+
+        monkeypatch.setattr(session, "_run", run_with_deep_rerun)
+        with pytest.raises(ParseError) as warm_error:
+            session.parse()
+        assert len(calls) == 3 and calls[2] == 0  # the fallback starts cold
+        assert not isinstance(warm_error.value, ParseDepthError)
+        with pytest.raises(ParseError) as cold_error:
+            calc.incremental(backend=backend).set_text(session.text).parse()
+        assert error_key(warm_error.value) == error_key(cold_error.value)
+        assert len(memo._cols) == len(session.text) + 1
+        session.apply_edit(4, 1, "5")
+        assert repr(session.parse()) == repr(calc.parse("1+2*5+4"))
 
 
 class TestSessionMemoRetention:

@@ -1,8 +1,16 @@
 """Unit tests for the memo-table organizations."""
 
+import random
+
 import pytest
 
-from repro.runtime.memo import ChunkedMemoTable, DictMemoTable, make_memo_table
+from repro.runtime.memo import (
+    _SPAN_CAP,
+    ChunkedMemoTable,
+    DictMemoTable,
+    IncrementalMemoTable,
+    make_memo_table,
+)
 
 RULES = [f"R{i}" for i in range(20)]
 
@@ -236,3 +244,97 @@ class TestEventsSink:
         assert "put" not in table.__dict__
         wired = make_memo_table(RULES, chunked=chunked, events=RecordingEvents())
         assert "get" in wired.__dict__ and "put" in wired.__dict__
+
+
+# -- IncrementalMemoTable summaries under random surgery -----------------------
+
+
+def assert_summaries_exact(table: IncrementalMemoTable) -> None:
+    """``_cnt``, ``_relb``, ``_long`` and ``entry_count()`` equal what a
+    scan of ``_cols`` gives; ``drop_range``'s locality rests on them."""
+    cols = table._cols
+    assert len(cols) == len(table._relb) == len(table._cnt)
+    long_spans = set()
+    total = 0
+    for pos, col in enumerate(cols):
+        live = [e for e in col if e is not None] if col is not None else []
+        assert col is None or live, f"empty column list kept at {pos}"
+        assert table._cnt[pos] == len(live), pos
+        widest = max((e[1] for e in live), default=0)
+        assert table._relb[pos] == min(widest, _SPAN_CAP), pos
+        if widest >= _SPAN_CAP:
+            long_spans.add(pos)
+        total += len(live)
+    assert table._long == long_spans
+    assert table.entry_count() == total
+
+
+def table_contents(table: IncrementalMemoTable) -> dict:
+    return {
+        (pos, rule): entry
+        for pos, col in enumerate(table._cols)
+        if col is not None
+        for rule, entry in enumerate(col)
+        if entry is not None
+    }
+
+
+def random_entry(rng: random.Random):
+    rel = rng.randint(_SPAN_CAP, _SPAN_CAP + 120) if rng.random() < 0.1 else rng.randint(0, 12)
+    span = -1 if rng.random() < 0.3 else rng.randint(0, rel)
+    return ((span, object()), rel)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_table_summaries_under_random_surgery(seed):
+    """Seeded put / drop_range / shift_from / detach_from / reattach
+    sequences: after every step the summaries match a rescan of the
+    columns, and the contents match a dict model of the same operations."""
+    rng = random.Random(seed)
+    width = 5
+    table = IncrementalMemoTable([f"R{i}" for i in range(width)]).resize(300)
+    model: dict[tuple[int, int], object] = {}
+    saved = saved_model = None
+    for _ in range(250):
+        length = len(table._cols)
+        ops = ["put"] * 6
+        ops += ["reattach"] * 2 if saved is not None else ["drop", "shift", "detach"]
+        op = rng.choice(ops)
+        if op == "put":
+            pos, rule = rng.randrange(length), rng.randrange(width)
+            if (pos, rule) not in model:  # packrat stores one result per slot
+                value = random_entry(rng)
+                table.put(rule, pos, value)
+                model[(pos, rule)] = value
+        elif op == "drop":
+            lo = rng.randrange(length)
+            hi = min(length - 1, lo + rng.randint(0, 4))
+            doomed = {
+                (p, r)
+                for (p, r), value in model.items()
+                if (lo <= p < hi and (p > lo or value[1] > 0)) or (p < lo and p + value[1] > lo)
+            }
+            assert table.drop_range(lo, hi) == len(doomed)
+            for key in doomed:
+                del model[key]
+        elif op == "shift":
+            pos = rng.randrange(length)
+            delta = rng.randint(-min(pos, 6), 6)
+            moved = sum(1 for p, _ in model if p >= pos)
+            assert table.shift_from(pos, delta) == (moved if delta else 0)
+            model = {
+                (p + delta if p >= pos else p, r): value
+                for (p, r), value in model.items()
+                if p >= pos or p < pos + min(delta, 0)
+            }
+        elif op == "detach":
+            pos = rng.randrange(length)
+            saved = table.detach_from(pos)
+            saved_model = {k: v for k, v in model.items() if k[0] >= pos}
+            model = {k: v for k, v in model.items() if k[0] < pos}
+        else:  # reattach: set-aside entries win over ones stored since
+            table.reattach(saved)
+            model.update(saved_model)
+            saved = saved_model = None
+        assert_summaries_exact(table)
+        assert table_contents(table) == model
